@@ -7,7 +7,7 @@
 //! compreuse program.mc --opt o3 --input in.txt --run
 //! ```
 //!
-//! The input file (one integer per line) feeds both the profiling runs and
+//! The input file (one integer per line) feeds both the profiling run and
 //! — with `--run` — the execution comparison.
 
 use compreuse::{run_pipeline, PipelineConfig};

@@ -3,10 +3,16 @@
 //! ```text
 //! source → [specialize §2.4] → enumerate segments → structural screen
 //!        → input/output analysis (§2.1) → static O/C < 1 pre-filter
-//!        → execution-frequency filter → value-set profiling
+//!        → one instrumented profiling run → execution-frequency filter
 //!        → cost-benefit selection (formula 3) → nesting resolution (§2.3)
 //!        → table merging (§2.5) → memoization transform (Fig. 2(b))
 //! ```
+//!
+//! The paper profiles twice: a frequency pass, then a value-set pass over
+//! the segments that survive it. Here one run probes every candidate; a
+//! probe's execution count `N` is exactly what the frequency pass would
+//! have counted, so the filter reads it from the value-set profile and
+//! the cold segments' profiles are dropped before selection.
 //!
 //! [`run_pipeline`] drives all stages and returns the transformed program,
 //! the table specs to instantiate at run time, the profiling data (the
@@ -22,11 +28,10 @@ use analysis::deps::{plan_deps, shared_region_edges, DepEdge, DepPlan};
 use analysis::granularity::{seg_granularity, SegCost};
 use analysis::inout::{seg_io, SegIo};
 use analysis::segments::{self, Reject};
-use analysis::{Analyses, SegKind, Segment};
+use analysis::{Analyses, Segment};
 use memo_runtime::TableSpec;
-use minic::ast::{NodeId, Program};
+use minic::ast::Program;
 use minic::sema::Checked;
-use std::collections::HashMap;
 use std::fmt;
 use vm::{CostModel, ProfileData, RunConfig};
 
@@ -36,11 +41,12 @@ pub struct PipelineConfig {
     /// Cost model the decisions are made for (the paper profiles the same
     /// binary it measures).
     pub cost: CostModel,
-    /// Input stream for the frequency and value-set profiling runs.
+    /// Input stream for the profiling run.
     pub profile_input: Vec<i64>,
-    /// Segments executed fewer times than this are not value-profiled
-    /// (the paper's first stage: "filter out code segments which are
-    /// executed infrequently").
+    /// Segments executed fewer times than this during the profiling run
+    /// are rejected as cold before cost-benefit selection (the paper's
+    /// first stage: "filter out code segments which are executed
+    /// infrequently").
     pub min_exec: u64,
     /// Optional per-table byte cap (Figures 14/15 sweep).
     pub bytes_cap: Option<usize>,
@@ -61,11 +67,13 @@ pub struct PipelineConfig {
     /// Apply the §2.3 nesting resolution (ablation toggle; when off, every
     /// profitable segment is transformed).
     pub enable_nesting: bool,
-    /// Cycle budget for the profiling runs.
+    /// Cycle budget for the profiling run.
     pub max_profile_cycles: u64,
-    /// Execution engine for the profiling runs. Both engines charge
+    /// Execution engine for the profiling run. Every engine charges
     /// identical modelled cycles, so this only affects host wall-clock;
     /// the default ([`vm::Engine::Bytecode`]) is the fast one.
+    /// [`vm::Engine::Specialized`] also records the run's dispatch trace
+    /// and mines a [`ReuseOutcome::spec_plan`] from it.
     pub engine: vm::Engine,
     /// Plan validated dependencies (red/green incremental reuse): large
     /// mutable global arrays read by ret-only segments move out of the
@@ -120,7 +128,8 @@ impl std::error::Error for PipelineError {}
 pub struct SegDecision {
     /// Segment name.
     pub name: String,
-    /// Executions observed by the frequency run.
+    /// Executions observed by the profiling run (the segment's probe
+    /// count, equal to [`SegDecision::n`]).
     pub exec_count: u64,
     /// Static granularity estimate (cycles).
     pub static_c: f64,
@@ -341,44 +350,44 @@ pub fn run_pipeline(
     program: &Program,
     config: &PipelineConfig,
 ) -> Result<ReuseOutcome, PipelineError> {
-    let mut checked0 =
+    let mut checked =
         minic::check(program.clone()).map_err(|e| PipelineError::FrontEnd(e.to_string()))?;
 
     // Stage −1: clean-up normalization (§3.1), when requested.
     if config.enable_cleanup {
-        let (cleaned, _splits) = crate::cleanup::cleanup(&checked0);
-        checked0 = minic::check(cleaned).map_err(|e| PipelineError::FrontEnd(e.to_string()))?;
+        let (cleaned, _splits) = crate::cleanup::cleanup(&checked);
+        checked = minic::check(cleaned).map_err(|e| PipelineError::FrontEnd(e.to_string()))?;
     }
 
-    // Stage 0: specialization (§2.4).
-    let (checked, specializations) = if config.enable_specialization {
-        let an0 = Analyses::build(&checked0);
-        let (prog, reports) = specialize(&checked0, &an0);
+    // Stage 0: specialization (§2.4). `an` holds the analyses of the
+    // current `checked` whenever a stage leaves the program unchanged, so
+    // they are built again only after a rewrite.
+    let mut an = None;
+    let specializations = if config.enable_specialization {
+        let an0 = Analyses::build(&checked);
+        let (prog, reports) = specialize(&checked, &an0);
         if reports.is_empty() {
-            (checked0, reports)
+            an = Some(an0);
         } else {
-            let rechecked =
-                minic::check(prog).map_err(|e| PipelineError::FrontEnd(e.to_string()))?;
-            (rechecked, reports)
+            checked = minic::check(prog).map_err(|e| PipelineError::FrontEnd(e.to_string()))?;
         }
+        reports
     } else {
-        (checked0, Vec::new())
+        Vec::new()
     };
 
     // Stage 0.5: sub-segment exposure (paper §5 future work), optional.
-    let checked = if config.enable_subsegments {
-        let an_pre = Analyses::build(&checked);
+    if config.enable_subsegments {
+        let an_pre = an.take().unwrap_or_else(|| Analyses::build(&checked));
         let (prog, wrapped) = crate::subsegment::expose(&checked, &an_pre);
         if wrapped > 0 {
-            minic::check(prog).map_err(|e| PipelineError::FrontEnd(e.to_string()))?
+            checked = minic::check(prog).map_err(|e| PipelineError::FrontEnd(e.to_string()))?;
         } else {
-            checked
+            an = Some(an_pre);
         }
-    } else {
-        checked
-    };
+    }
 
-    let an = Analyses::build(&checked);
+    let an = an.unwrap_or_else(|| Analyses::build(&checked));
     let mut report = Report {
         specializations,
         ..Report::default()
@@ -427,102 +436,62 @@ pub fn run_pipeline(
         candidates.push((seg, io, cost, plan));
     }
 
-    // Stage 2: execution-frequency filter.
-    let module = vm::lower(&checked);
-    let freq = vm::run(
-        &module,
-        RunConfig {
-            cost: config.cost.clone(),
-            input: config.profile_input.clone(),
-            max_cycles: config.max_profile_cycles,
-            engine: config.engine,
-            // The specialized tier mines its superinstructions from this
-            // run's dispatch trace (no plan exists yet, so the run itself
-            // executes on the generic bytecode path).
-            record_trace: config.engine == vm::Engine::Specialized,
-            ..RunConfig::default()
-        },
-    )
-    .map_err(PipelineError::Trap)?;
-    let loop_index: HashMap<NodeId, usize> = module
-        .loop_origins
-        .iter()
-        .enumerate()
-        .map(|(i, &id)| (id, i))
-        .collect();
-    let branch_index: HashMap<NodeId, usize> = module
-        .branch_origins
-        .iter()
-        .enumerate()
-        .map(|(i, &id)| (id, i))
-        .collect();
-    let exec_count = |seg: &Segment| -> u64 {
-        match seg.kind {
-            SegKind::FuncBody => freq.func_calls[seg.func],
-            SegKind::LoopBody(id) => loop_index
-                .get(&id)
-                .map(|&i| freq.loop_counts[i])
-                .unwrap_or(0),
-            SegKind::IfBranch(id, then) => branch_index
-                .get(&id)
-                .map(|&i| freq.branch_counts[i * 2 + usize::from(!then)])
-                .unwrap_or(0),
-            SegKind::BareBlock(id) => {
-                // A bare block runs as often as its innermost enclosing
-                // loop iterates (or as often as the function is called).
-                match crate::subsegment::enclosing_loop(&checked.program.funcs[seg.func].body, id) {
-                    Some(loop_id) => loop_index
-                        .get(&loop_id)
-                        .map(|&i| freq.loop_counts[i])
-                        .unwrap_or(0),
-                    None => freq.func_calls[seg.func],
-                }
-            }
-        }
-    };
-    let mut survivors: Vec<(Segment, SegIo, SegCost, DepPlan, u64)> = Vec::new();
-    for (seg, io, cost, plan) in candidates {
-        let count = exec_count(&seg);
-        if count < config.min_exec {
-            report.rejects.push((seg.name.clone(), Reject::ColdCode));
-            continue;
-        }
-        survivors.push((seg, io, cost, plan, count));
-    }
-    report.profiled = survivors.len();
-
-    // Stage 3: value-set profiling.
-    let probes: Vec<ProbeSpec> = survivors
-        .iter()
-        .enumerate()
-        .map(|(i, (seg, io, _, _, _))| ProbeSpec::for_segment(seg, i, io.inputs.clone()))
-        .collect();
-    let profile = if probes.is_empty() {
-        ProfileData::default()
-    } else {
+    // Stage 2: one instrumented profiling run with a probe on every
+    // candidate (probe index = candidate index). The instrumented
+    // program, its module and the run's outcome are dropped with this
+    // block, before planning allocates anything long-lived.
+    let (mut profile, trace) = {
+        let probes: Vec<ProbeSpec> = candidates
+            .iter()
+            .enumerate()
+            .map(|(i, (seg, io, _, _))| ProbeSpec::for_segment(seg, i, io.inputs.clone()))
+            .collect();
         let instrumented = insert_probes(&checked.program, &probes);
         let ichecked =
             minic::check(instrumented).map_err(|e| PipelineError::FrontEnd(e.to_string()))?;
-        let imodule = vm::lower(&ichecked);
         let out = vm::run(
-            &imodule,
+            &vm::lower(&ichecked),
             RunConfig {
                 cost: config.cost.clone(),
                 input: config.profile_input.clone(),
                 max_cycles: config.max_profile_cycles,
                 engine: config.engine,
+                // The specialized tier mines its superinstructions from
+                // this run's dispatch trace (no plan exists yet, so the
+                // run itself executes on the generic bytecode path).
+                record_trace: config.engine == vm::Engine::Specialized,
                 ..RunConfig::default()
             },
         )
         .map_err(PipelineError::Trap)?;
-        out.profile.unwrap_or_default()
+        (out.profile.unwrap_or_default(), out.trace)
     };
+    debug_assert_eq!(profile.segs.len(), candidates.len());
+
+    // Stage 3: execution-frequency filter on the probe counts.
+    let hot: Vec<bool> = profile
+        .segs
+        .iter()
+        .map(|sp| sp.n >= config.min_exec)
+        .collect();
+    let mut survivors: Vec<(Segment, SegIo, SegCost, DepPlan)> = Vec::new();
+    for (candidate, &is_hot) in candidates.into_iter().zip(&hot) {
+        if is_hot {
+            survivors.push(candidate);
+        } else {
+            report.rejects.push((candidate.0.name, Reject::ColdCode));
+        }
+    }
+    report.profiled = survivors.len();
+    if survivors.len() < hot.len() {
+        retain_profiles(&mut profile, &hot);
+    }
 
     // Stage 4: cost-benefit selection (formula 3).
     let mut decisions: Vec<SegDecision> = Vec::new();
     let mut gains: Vec<f64> = Vec::new();
     let mut profitable: Vec<usize> = Vec::new();
-    for (i, (seg, io, cost, plan, count)) in survivors.iter().enumerate() {
+    for (i, (seg, io, cost, plan)) in survivors.iter().enumerate() {
         let sp = &profile.segs[i];
         let planned_slots = {
             let mut slots = TableSpec::recommended_slots(sp.dip());
@@ -559,7 +528,7 @@ pub fn run_pipeline(
         gains.push(gain);
         decisions.push(SegDecision {
             name: seg.name.clone(),
-            exec_count: *count,
+            exec_count: sp.n,
             static_c: cost.granularity_cycles,
             static_o: cost.overhead_cycles,
             n: sp.n,
@@ -620,7 +589,7 @@ pub fn run_pipeline(
         .iter()
         .enumerate()
         .map(|(k, &i)| {
-            let (seg, io, _, dep_plan, _) = &survivors[i];
+            let (seg, io, _, dep_plan) = &survivors[i];
             let a = plan.assignments[k];
             decisions[i].chosen = true;
             decisions[i].assignment = Some(a);
@@ -674,7 +643,7 @@ pub fn run_pipeline(
     }
 
     // Specialization-plan mining (§2.4): hot dispatch pairs from the
-    // stage-2 trace, plus the dominant key of each of the hottest chosen
+    // profiling run's trace, plus the dominant key of each of the hottest chosen
     // segments. A key qualifies as dominant when it recurred often
     // enough during profiling that baking its values into a cloned body
     // can pay; profiles of real programs spread hits over many keys, so
@@ -682,13 +651,12 @@ pub fn run_pipeline(
     /// Minimum profiled recurrence for a key to count as dominant.
     const DOMINANT_MIN_RECURRENCE: u64 = 8;
     let spec_plan = if config.engine == vm::Engine::Specialized {
-        let hot_pairs = freq
-            .trace
+        let hot_pairs = trace
             .as_ref()
             .map(|t| t.top_pairs(16, 64))
             .unwrap_or_default();
         let mut ranked: Vec<usize> = (0..chosen.len()).collect();
-        ranked.sort_by_key(|&k| std::cmp::Reverse(survivors[chosen[k]].4));
+        ranked.sort_by_key(|&k| std::cmp::Reverse(profile.segs[chosen[k]].n));
         let mut dominants = Vec::new();
         for k in ranked {
             if dominants.len() >= 4 {
@@ -736,4 +704,122 @@ pub fn run_pipeline(
         report,
         spec_plan,
     })
+}
+
+/// Drops the profiles of segments with `keep[i] == false` and re-keys
+/// every surviving `within` map to the survivors' new indices, so later
+/// stages see exactly the profile of a run that probed only survivors.
+fn retain_profiles(profile: &mut ProfileData, keep: &[bool]) {
+    let mut remap = Vec::with_capacity(keep.len());
+    let mut next = 0u32;
+    for &k in keep {
+        remap.push(k.then_some(next));
+        next += u32::from(k);
+    }
+    let mut kept = keep.iter();
+    profile
+        .segs
+        .retain(|_| *kept.next().expect("one flag per profile"));
+    for sp in &mut profile.segs {
+        sp.within = sp
+            .within
+            .drain()
+            .filter_map(|(outer, c)| Some((remap[outer as usize]?, c)))
+            .collect();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `init` runs once (its body and loop are cold); `inner` runs twice
+    /// per `outer`, both hot.
+    const COLD_THEN_NESTED: &str = "
+        int init(int x) {
+            int acc = 0;
+            for (int t = 0; t < 8; t++) acc = (acc + x * t) & 65535;
+            return acc;
+        }
+        int inner(int v) {
+            int acc = 0;
+            for (int t = 0; t < 20; t++) acc = (acc + (v + t) * (t | 3)) & 65535;
+            return acc;
+        }
+        int outer(int v) {
+            return inner(v) + inner(v + 1);
+        }
+        int main() {
+            int s = init(7);
+            while (!eof()) {
+                int v = input() % 16;
+                s = (s + outer(v)) & 65535;
+            }
+            print(s);
+            return 0;
+        }";
+
+    fn pipeline(engine: vm::Engine) -> ReuseOutcome {
+        let program = minic::parse(COLD_THEN_NESTED).unwrap();
+        let config = PipelineConfig {
+            profile_input: (0..400).collect(),
+            engine,
+            ..PipelineConfig::default()
+        };
+        run_pipeline(&program, &config).unwrap()
+    }
+
+    #[test]
+    fn cold_candidates_leave_no_trace_in_the_profile() {
+        let outcome = pipeline(vm::Engine::default());
+        let report = &outcome.report;
+        let cold: Vec<&str> = report
+            .rejects
+            .iter()
+            .filter(|(_, r)| matches!(r, Reject::ColdCode))
+            .map(|(name, _)| name.as_str())
+            .collect();
+        assert!(cold.contains(&"init:body"), "{:?}", report.rejects);
+        let profiled: Vec<&str> = outcome
+            .profile
+            .segs
+            .iter()
+            .map(|s| s.name.as_str())
+            .collect();
+        let decided: Vec<&str> = report.decisions.iter().map(|d| d.name.as_str()).collect();
+        assert_eq!(profiled, decided);
+        let index = |name: &str| profiled.iter().position(|&p| p == name).unwrap() as u32;
+        assert_eq!(
+            outcome
+                .profile
+                .nesting_factor(index("outer:body"), index("inner:body")),
+            2.0
+        );
+    }
+
+    #[test]
+    fn specialized_plan_has_no_profiler_pairs() {
+        let outcome = pipeline(vm::Engine::Specialized);
+        let plan = outcome.spec_plan.expect("specialized engine mines a plan");
+        assert!(!plan.hot_pairs.is_empty());
+        // The plain baseline has no probes, so every pair it dispatches
+        // is one the transformed code can run: the mined pairs must be
+        // exactly its hot pairs.
+        let plain = vm::run(
+            &vm::lower(&outcome.baseline),
+            RunConfig {
+                input: (0..400).collect(),
+                engine: vm::Engine::Bytecode,
+                record_trace: true,
+                ..RunConfig::default()
+            },
+        )
+        .unwrap()
+        .trace
+        .unwrap();
+        for &(a, b) in &plan.hot_pairs {
+            assert!(plain.pair_count(a, b) > 0, "pair ({a}, {b}) needs a probe");
+        }
+        assert_eq!(plan.hot_pairs, plain.top_pairs(16, 64));
+    }
 }

@@ -15,7 +15,7 @@
 //! the paper's own cost-benefit analysis rather than a new heuristic.
 
 use analysis::Analyses;
-use minic::ast::{Block, Expr, ExprKind, NodeId, Program, Stmt, StmtKind, UnOp};
+use minic::ast::{Block, Expr, ExprKind, Program, Stmt, StmtKind, UnOp};
 use minic::sema::{Builtin, Checked, Res};
 
 /// Runs the exposure pass; returns the rewritten program (re-check before
@@ -36,36 +36,6 @@ pub fn expose(checked: &Checked, an: &Analyses) -> (Program, usize) {
         f.body = expose_block(checked, an, fi, body, wrap_here, &mut wrapped);
     }
     (out, wrapped)
-}
-
-/// Innermost enclosing loop statement of `target` inside `body`, if any
-/// (used by the pipeline to estimate a bare block's execution frequency).
-pub fn enclosing_loop(body: &Block, target: NodeId) -> Option<NodeId> {
-    fn search(b: &Block, target: NodeId, current: Option<NodeId>) -> Option<Option<NodeId>> {
-        for s in &b.stmts {
-            if s.id == target {
-                return Some(current);
-            }
-            let hit = match &s.kind {
-                StmtKind::If {
-                    then_blk, else_blk, ..
-                } => search(then_blk, target, current)
-                    .or_else(|| else_blk.as_ref().and_then(|eb| search(eb, target, current))),
-                StmtKind::While { body, .. }
-                | StmtKind::DoWhile { body, .. }
-                | StmtKind::For { body, .. } => search(body, target, Some(s.id)),
-                StmtKind::Block(inner) => search(inner, target, current),
-                StmtKind::Profile(p) => search(&p.body, target, current),
-                StmtKind::Memo(m) => search(&m.body, target, current),
-                _ => None,
-            };
-            if hit.is_some() {
-                return hit;
-            }
-        }
-        None
-    }
-    search(body, target, None).flatten()
 }
 
 /// Rewrites one block: recurse into compound statements, then wrap
@@ -484,32 +454,38 @@ mod tests {
     }
 
     #[test]
-    fn enclosing_loop_finds_innermost() {
+    fn bare_block_counts_its_own_executions() {
+        // The exposed block sits under an `if` inside the loop, so it runs
+        // once per taken branch, not once per loop iteration.
         let src = "
+            int total = 0;
             int main() {
-                int s = 0;
-                for (int i = 0; i < 3; i++) {
-                    while (s < 100) {
-                        { s += i; }
+                while (!eof()) {
+                    int c = input() % 50;
+                    if (c < 10) {
+                        print(c);
+                        int acc = 0;
+                        for (int t = 0; t < 40; t++) {
+                            acc = (acc + (c + t) * (t | 3)) & 1048575;
+                        }
+                        total = (total + acc) & 1048575;
                     }
                 }
-                return s;
+                print(total);
+                return 0;
             }";
-        let checked = minic::compile(src).unwrap();
-        let f = &checked.program.funcs[0];
-        // Find the bare block's id and the while's id.
-        let mut block_id = None;
-        let mut while_id = None;
-        minic::visit::for_each_stmt(&f.body, |s| match &s.kind {
-            StmtKind::Block(_) => block_id = Some(s.id),
-            StmtKind::While { .. } => while_id = Some(s.id),
-            _ => {}
-        });
-        assert_eq!(
-            enclosing_loop(&f.body, block_id.unwrap()),
-            while_id,
-            "innermost loop is the while"
-        );
+        let input = io_loop_input();
+        let iterations = input.len() as u64;
+        let taken = input.iter().filter(|&&v| v % 50 < 10).count() as u64;
+        let outcome = pipeline(src, true, input);
+        let block = outcome
+            .report
+            .decisions
+            .iter()
+            .find(|d| d.name.contains("block#"))
+            .expect("the bare block was profiled");
+        assert_eq!(block.exec_count, taken, "{block:?}");
+        assert_ne!(block.exec_count, iterations);
     }
 
     #[test]

@@ -303,7 +303,11 @@ impl BcMachine<'_, '_> {
         loop {
             let instr = &code[pc as usize];
             if let Some(t) = self.trace.as_deref_mut() {
-                t.step(op_kind(instr));
+                // Profile probes never reach the transformed code the
+                // specialized tier runs, so they stay out of its trace.
+                if !matches!(instr, Instr::ProfileEnter(_) | Instr::ProfileExit(_)) {
+                    t.step(op_kind(instr));
+                }
                 if t.saturated() {
                     // Budget spent: park the recorder so the rest of the
                     // run pays only the `None` check every engine pays.

@@ -46,8 +46,9 @@ use minic::ast::BinOp;
 const TRACE_DISPATCH_CAP: u64 = 8_000_000;
 
 /// Dynamic counts of adjacent opcode-kind pairs, recorded by the generic
-/// bytecode engine when [`crate::RunConfig::record_trace`] is set. Kind
-/// codes are opaque (an internal opcode classification); they only need
+/// bytecode engine when [`crate::RunConfig::record_trace`] is set.
+/// Profile probes are skipped: they never occur in the transformed code a
+/// plan is applied to. Kind codes are opaque (an internal opcode classification); they only need
 /// to round-trip into [`SpecPlan::hot_pairs`].
 #[derive(Debug, Clone)]
 pub struct DispatchTrace {
