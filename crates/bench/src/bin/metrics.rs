@@ -4,8 +4,8 @@
 //!
 //! ```text
 //! cargo run --release -p bench --bin metrics -- [workload] [--scale f]
-//!     [--opt o0|o3] [--adaptive] [--alt] [--engine tree|bytecode]
-//!     [--bench-engines] [--assert-faster]
+//!     [--opt o0|o3] [--adaptive] [--alt]
+//!     [--engine tree|bytecode|specialized] [--bench-engines] [--assert-faster]
 //! ```
 //!
 //! `--alt` executes on the Table 10 alternate inputs (profiling always
@@ -20,12 +20,17 @@
 //! prediction.
 //!
 //! `--bench-engines` replaces the metrics report with a host wall-clock
-//! comparison of the two execution engines: the full `run_pipeline` +
-//! measurement cycle is timed per workload under each engine (workload
-//! name `all` sweeps the seven main programs). Modelled cycles and
-//! energy are engine-independent — only host speed differs. With
-//! `--assert-faster` the process exits nonzero if the bytecode engine is
-//! not faster overall, which CI runs on `G721_encode`.
+//! comparison of the three execution engines (tree, bytecode,
+//! specialized): the full `run_pipeline` + measurement cycle is timed
+//! per workload under each engine (workload name `all` sweeps the seven
+//! main programs). Modelled cycles and energy are engine-independent —
+//! only host speed differs. With `--assert-faster` the process exits
+//! nonzero if the bytecode engine is not faster than the tree walker
+//! overall, which CI runs on `G721_encode`. With `--assert-faster
+//! --engine specialized` it instead exits 1 unless the specialized tier
+//! beats the tree walker by more than the recorded bytecode bar (1.541×),
+//! or 3 (inconclusive) when this host's own bytecode run does not reach
+//! that bar; CI runs this on `all` at scale 0.25.
 //!
 //! `--serve` replaces the report with the request-serving benchmark: a
 //! `service::ReuseService` over the seven main workloads (or the named

@@ -89,7 +89,7 @@ pub use histogram::LatencyHistogram;
 pub use queue::{BoundedQueue, PushError};
 
 /// One program the service can serve: the memoized module plus the table
-/// plan the pipeline produced for it ([`compreuse::ReuseOutcome`]'s
+/// plan the pipeline produced for it (`compreuse::ReuseOutcome`'s
 /// `specs` and `policies`, by value so the service crate stays independent
 /// of the compiler crates).
 #[derive(Debug)]
@@ -103,11 +103,11 @@ pub struct ServiceProgram {
     /// Per-table adaptive-guard policies (same length as `specs`).
     pub policies: Vec<GuardPolicy>,
     /// Per-table, per-slot dependency-fingerprint widths in words
-    /// ([`compreuse::ReuseOutcome`]'s `table_deps`; `0` = exact-match
+    /// (`compreuse::ReuseOutcome`'s `table_deps`; `0` = exact-match
     /// slot). An empty outer vector means no slot is fingerprinted.
     pub table_deps: Vec<Vec<usize>>,
     /// The pipeline's mined specialization plan
-    /// ([`compreuse::ReuseOutcome`]'s `spec_plan`). Applied only when
+    /// (`compreuse::ReuseOutcome`'s `spec_plan`). Applied only when
     /// [`ServiceConfig::engine`] is [`vm::Engine::Specialized`]; answers
     /// and table state are identical either way (DESIGN.md §8j).
     pub spec_plan: Option<vm::SpecPlan>,

@@ -33,12 +33,13 @@ use crate::cost::CostModel;
 use crate::lower::{
     Coerce, CostKind, LCallee, LExpr, LMemo, LPlace, LProfile, LStmt, Module, WriteCost,
 };
+use crate::specialize::{PairCode, SpecGuard, SpecStats};
 use minic::ast::{BinOp, UnOp};
 use minic::sema::Builtin;
 
 /// A fused leaf operand of [`Instr::BinaryFast`]: reading it cannot trap
 /// and its access charge is folded into the fused instruction's cost.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum FastArg {
     /// Integer constant (charges nothing, like `PushI`).
     I(i64),
@@ -48,7 +49,7 @@ pub(crate) enum FastArg {
 
 /// One bytecode instruction. Jump operands are absolute indices into
 /// [`BcModule::code`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Instr {
     /// Push an integer constant.
     PushI(i64),
@@ -367,18 +368,18 @@ pub(crate) enum Instr {
     ProfileEnter(u32),
     /// Profile probe exit: accumulate body cycles, pop the region.
     ProfileExit(u32),
-    /// Fused pair of adjacent *linear* instructions discovered by trace
-    /// mining (the operand indexes `SpecCode::pairs`, see
+    /// Fused pair of adjacent straight-line instructions discovered by
+    /// trace mining (the operand indexes [`BcModule::pairs`], see
     /// [`crate::specialize`]): executes both halves, then continues at
     /// `pc + 2`. The second instruction of the pair stays in place in the
     /// code array, so a jump that lands between the halves executes the
-    /// tail alone — substitution never retargets jumps. Emitted and
-    /// executed only by the specialized engine.
+    /// tail alone — substitution never retargets jumps. Emitted only by
+    /// the specialization pass; [`compile`] never produces it.
     Super2(u32),
     /// Push a value baked in at specialization time (a dominant memo
     /// input folded into a cloned segment body), charging exactly the
-    /// access cost of the read it replaces. Emitted and executed only by
-    /// the specialized engine.
+    /// access cost of the read it replaces. Emitted only by the
+    /// specialization pass.
     PushKnown {
         /// Raw value word (float bits when `float`, else the integer).
         w: u64,
@@ -390,7 +391,9 @@ pub(crate) enum Instr {
 }
 
 /// A compiled module: one flat code array plus per-function entry points
-/// and side tables for memo/profile descriptors.
+/// and side tables for memo/profile descriptors. A module built from a
+/// plan ([`crate::specialize::build`]) also carries fused pairs, guards,
+/// and specialization counts; the same dispatch loop runs both kinds.
 #[derive(Debug, Clone)]
 pub(crate) struct BcModule<'m> {
     /// All functions' code, concatenated.
@@ -406,6 +409,16 @@ pub(crate) struct BcModule<'m> {
     /// Per memo id, the pc of its `MemoEnter` and of its
     /// `MemoExitNormal` — the body span `specialize` clones.
     pub(crate) memo_spans: Vec<(u32, u32)>,
+    /// Fused pair bodies, indexed by [`Instr::Super2`] operands. Empty
+    /// unless the module was built from a plan.
+    pub(crate) pairs: Vec<PairCode>,
+    /// Per memo id, the dominant-key guard at its `MemoEnter`. Empty
+    /// unless the module was built from a plan.
+    pub(crate) guards: Vec<Option<SpecGuard>>,
+    /// The static specialization counts (fused sites, cloned segments),
+    /// `Some` exactly when the module was built from a plan; a run
+    /// reports them, plus its guard counters, in [`crate::Outcome::spec`].
+    pub(crate) spec: Option<SpecStats>,
 }
 
 /// Compiles a lowered module to flat bytecode. Cycle charges are
@@ -420,6 +433,9 @@ pub(crate) fn compile<'m>(module: &'m Module, cost: &CostModel) -> BcModule<'m> 
         memo_cost: Vec::new(),
         profiles: Vec::new(),
         memo_spans: Vec::new(),
+        pairs: Vec::new(),
+        guards: Vec::new(),
+        spec: None,
     };
     let has_profiler = !module.profile_segments.is_empty();
     for func in &module.funcs {
@@ -1205,55 +1221,6 @@ pub(crate) fn op_kind(i: &Instr) -> u8 {
         Instr::Super2(..) => 54,
         Instr::PushKnown { .. } => 55,
     }
-}
-
-/// Whether an instruction is *linear*: it advances `pc` by exactly one,
-/// never transfers control, and never opens or closes a call frame or a
-/// memo/profile region. Two adjacent linear instructions execute
-/// observably identically inside one [`Instr::Super2`] dispatch — cycle
-/// charges, budget checks, dependency notes, and traps all land in the
-/// same order. Loop heads qualify (their budget check runs at the same
-/// point either way); anything that touches `pc`, frames, or regions
-/// does not.
-pub(crate) fn is_linear(i: &Instr) -> bool {
-    matches!(
-        i,
-        Instr::PushI(..)
-            | Instr::PushF(..)
-            | Instr::PushFn(..)
-            | Instr::PushUninit
-            | Instr::Pop
-            | Instr::ReadLocal(..)
-            | Instr::ReadGlobal(..)
-            | Instr::ReadMem
-            | Instr::PtrAddRead { .. }
-            | Instr::ReadIdx { .. }
-            | Instr::AddrLocal(..)
-            | Instr::AddrGlobal(..)
-            | Instr::CheckPtr
-            | Instr::PtrAdd(..)
-            | Instr::PtrDiff(..)
-            | Instr::Unary(..)
-            | Instr::Binary(..)
-            | Instr::BinaryFast { .. }
-            | Instr::Truthy
-            | Instr::Tick(..)
-            | Instr::WhileHead(..)
-            | Instr::ForHead(..)
-            | Instr::DoHead { .. }
-            | Instr::LoopCount(..)
-            | Instr::DeclStore { .. }
-            | Instr::Store { .. }
-            | Instr::StoreLocal { .. }
-            | Instr::LoadDupAddr
-            | Instr::AssignOpFin { .. }
-            | Instr::IncDecFin { .. }
-            | Instr::IncDecLocal { .. }
-            | Instr::CoerceVal(..)
-            | Instr::CastInt
-            | Instr::CastFloat
-            | Instr::PushKnown { .. }
-    )
 }
 
 #[cfg(test)]

@@ -205,25 +205,17 @@ impl Outcome {
 /// ```
 pub fn run(module: &Module, config: RunConfig) -> Result<Outcome, Trap> {
     match config.engine {
-        Engine::Bytecode => {
+        Engine::Bytecode | Engine::Specialized => {
             // The dispatch loop keeps MiniC frames on an explicit stack,
-            // so it runs on the caller's thread with no recursion.
-            let bc = crate::bytecode::compile(module, &config.cost);
-            crate::interp_bc::run_bc(module, &bc, config)
-        }
-        Engine::Specialized => {
-            // Same flat dispatch loop as the bytecode tier, but running a
-            // plan-specialized copy of the code. Without a plan it degrades
-            // to the generic bytecode engine (optionally recording a trace
-            // so the pipeline can mine a plan).
-            let bc = crate::bytecode::compile(module, &config.cost);
-            match config.spec_plan.clone() {
-                Some(plan) => {
-                    let spec = crate::specialize::build(&bc, &plan, &config.cost);
-                    crate::interp_spec::run_spec(module, &spec, config)
-                }
-                None => crate::interp_bc::run_bc(module, &bc, config),
+            // so it runs on the caller's thread with no recursion. The
+            // specialized tier applies its plan as a bytecode→bytecode
+            // pass; without a plan it is the generic bytecode engine
+            // (optionally recording a trace so the pipeline can mine one).
+            let mut bc = crate::bytecode::compile(module, &config.cost);
+            if let (Engine::Specialized, Some(plan)) = (config.engine, &config.spec_plan) {
+                bc = crate::specialize::build(&bc, plan, &config.cost);
             }
+            crate::interp_bc::run_bc(module, &bc, config)
         }
         Engine::Tree => {
             // The tree-walker recurses on the Rust stack (one chain of

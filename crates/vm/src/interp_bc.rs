@@ -1,10 +1,25 @@
-//! The non-recursive bytecode dispatch loop.
+//! The non-recursive bytecode dispatch loop — the one loop that runs
+//! every bytecode module.
 //!
-//! Executes a [`BcModule`] produced by [`crate::bytecode::compile`] with
-//! MiniC call frames on an explicit stack (no Rust recursion, no
-//! dedicated big-stack thread) and all memo/profile scratch buffers
-//! preallocated on the machine, so the memo hit path — including the
-//! bypassed-table forced-miss probe — performs **zero heap allocations**.
+//! Executes a [`BcModule`] produced by [`crate::bytecode::compile`] or by
+//! the specialization pass [`crate::specialize::build`], with MiniC call
+//! frames on an explicit stack (no Rust recursion, no dedicated
+//! big-stack thread) and all memo/profile scratch buffers preallocated
+//! on the machine, so the memo hit path — including the bypassed-table
+//! forced-miss probe — performs **zero heap allocations**.
+//!
+//! Plan-built code adds three things, all inert on generic bytecode:
+//!
+//! - `Super2(p)` executes both halves of fused pair `p` and advances the
+//!   pc by two (the second half stays in place, so any jump landing on
+//!   it executes it alone);
+//! - `PushKnown` pushes a baked immediate while charging exactly the
+//!   cost of the read it replaced;
+//! - a **guard** at each planned `MemoEnter`: on a table miss with the
+//!   built key equal to the plan's dominant key (and every folded slot
+//!   holding the expected value class), execution jumps to the
+//!   specialized clone; otherwise it *deopts* — falls through to the
+//!   generic body, exactly once per missed probe, charging nothing.
 //!
 //! Cycle/energy parity with the tree-walker is a hard contract: every
 //! instruction charges exactly the cost the tree-walker charges at the
@@ -21,6 +36,7 @@ use crate::interp::{
     write_operand_from, Outcome, RunConfig,
 };
 use crate::lower::{Module, WriteCost};
+use crate::specialize::{PairCode, SpecStats};
 use crate::tables::TableHandles;
 use crate::value::{PrintVal, Trap, Value};
 use memo_runtime::TableState;
@@ -51,7 +67,8 @@ struct Region {
 }
 
 /// Runs a compiled module to completion. Engine-agnostic setup and the
-/// outcome layout match `run_on_current_thread` in `interp` exactly.
+/// outcome layout match `run_on_current_thread` in `interp` exactly;
+/// `Outcome::spec` is `Some` exactly when `bc` was built from a plan.
 pub(crate) fn run_bc(
     module: &Module,
     bc: &BcModule<'_>,
@@ -105,6 +122,7 @@ pub(crate) fn run_bc(
             .record_trace
             .then(|| Box::new(crate::specialize::DispatchTrace::new())),
         parked_trace: None,
+        spec: bc.spec,
     };
 
     let ret = m.exec()?;
@@ -128,7 +146,7 @@ pub(crate) fn run_bc(
         l1,
         profile: m.profiler,
         trace: m.trace.or(m.parked_trace).map(|b| *b),
-        spec: None,
+        spec: m.spec,
     })
 }
 
@@ -183,6 +201,9 @@ struct BcMachine<'m, 'b> {
     /// A saturated trace, moved out of `trace` so the dispatch loop's
     /// per-step check goes back to the cheap `None` path.
     parked_trace: Option<Box<crate::specialize::DispatchTrace>>,
+    /// Static specialization counts plus this run's guard counters;
+    /// `None` for generic bytecode.
+    spec: Option<SpecStats>,
 }
 
 impl BcMachine<'_, '_> {
@@ -299,6 +320,7 @@ impl BcMachine<'_, '_> {
 
     fn exec(&mut self) -> Result<Value, Trap> {
         let code: &[Instr] = &self.bc.code;
+        let pairs: &[PairCode] = &self.bc.pairs;
         let mut pc = self.enter_function(self.module.main, 0, HALT)?;
         loop {
             let instr = &code[pc as usize];
@@ -788,10 +810,132 @@ impl BcMachine<'_, '_> {
                     self.profile_exit(*id);
                     pc += 1;
                 }
-                // The generic compiler never emits specialized opcodes;
-                // they exist only in plan-built `SpecCode`.
-                Instr::Super2(_) | Instr::PushKnown { .. } => {
-                    unreachable!("specialized opcode in generic bytecode")
+                Instr::Super2(p) => {
+                    match &pairs[*p as usize] {
+                        PairCode::PushIBinary { v, op, c } => {
+                            let x = self.pop();
+                            self.tick(*c);
+                            let r = binary_value(*op, x, Value::Int(*v))?;
+                            self.stack.push(r);
+                        }
+                        PairCode::BinaryPushI { op, c, v } => {
+                            let y = self.pop();
+                            let x = self.pop();
+                            self.tick(*c);
+                            let r = binary_value(*op, x, y)?;
+                            self.stack.push(r);
+                            self.stack.push(Value::Int(*v));
+                        }
+                        PairCode::BinaryBinary { op1, c1, op2, c2 } => {
+                            let y = self.pop();
+                            let x = self.pop();
+                            self.tick(*c1);
+                            let r1 = binary_value(*op1, x, y)?;
+                            let x2 = self.pop();
+                            self.tick(*c2);
+                            let r2 = binary_value(*op2, x2, r1)?;
+                            self.stack.push(r2);
+                        }
+                        PairCode::BinaryStore {
+                            op,
+                            c,
+                            slot,
+                            coerce,
+                            write_cost,
+                            keep,
+                        } => {
+                            let y = self.pop();
+                            let x = self.pop();
+                            self.tick(*c);
+                            let v = coerce_value(binary_value(*op, x, y)?, *coerce)?;
+                            self.charge_write(*write_cost);
+                            mem_write(&mut self.mem, self.frame + *slot as usize, v)?;
+                            if *keep {
+                                self.stack.push(v);
+                            }
+                        }
+                        PairCode::FastBinary {
+                            op1,
+                            a,
+                            b,
+                            c1,
+                            op2,
+                            c2,
+                        } => {
+                            let fa = self.fast_arg(a);
+                            let fb = self.fast_arg(b);
+                            self.tick(*c1);
+                            let r1 = binary_value(*op1, fa, fb)?;
+                            let x = self.pop();
+                            self.tick(*c2);
+                            let r2 = binary_value(*op2, x, r1)?;
+                            self.stack.push(r2);
+                        }
+                        PairCode::FastStore {
+                            op,
+                            a,
+                            b,
+                            c,
+                            slot,
+                            coerce,
+                            write_cost,
+                            keep,
+                        } => {
+                            let fa = self.fast_arg(a);
+                            let fb = self.fast_arg(b);
+                            self.tick(*c);
+                            let v = coerce_value(binary_value(*op, fa, fb)?, *coerce)?;
+                            self.charge_write(*write_cost);
+                            mem_write(&mut self.mem, self.frame + *slot as usize, v)?;
+                            if *keep {
+                                self.stack.push(v);
+                            }
+                        }
+                        PairCode::ReadBinary { off, op, c } => {
+                            self.tick(self.cost.var_access);
+                            let v = self.mem[self.frame + *off as usize];
+                            let x = self.pop();
+                            self.tick(*c);
+                            let r = binary_value(*op, x, v)?;
+                            self.stack.push(r);
+                        }
+                        PairCode::ReadFast { off, op, a, b, c } => {
+                            self.tick(self.cost.var_access);
+                            let v = self.mem[self.frame + *off as usize];
+                            self.stack.push(v);
+                            let fa = self.fast_arg(a);
+                            let fb = self.fast_arg(b);
+                            self.tick(*c);
+                            let r = binary_value(*op, fa, fb)?;
+                            self.stack.push(r);
+                        }
+                        PairCode::FastRead { op, a, b, c, off } => {
+                            let fa = self.fast_arg(a);
+                            let fb = self.fast_arg(b);
+                            self.tick(*c);
+                            let r = binary_value(*op, fa, fb)?;
+                            self.stack.push(r);
+                            self.tick(self.cost.var_access);
+                            let v = self.mem[self.frame + *off as usize];
+                            self.stack.push(v);
+                        }
+                        PairCode::CountRead { loop_idx, off } => {
+                            self.loop_counts[*loop_idx as usize] += 1;
+                            self.tick(self.cost.var_access);
+                            let v = self.mem[self.frame + *off as usize];
+                            self.stack.push(v);
+                        }
+                    }
+                    pc += 2;
+                }
+                Instr::PushKnown { w, float, cost } => {
+                    self.tick(u64::from(*cost));
+                    self.stack.push(if *float {
+                        Value::Float(f64::from_bits(*w))
+                    } else {
+                        Value::Int(*w as i64)
+                    });
+                    pc += 1;
                 }
             }
         }
@@ -801,8 +945,28 @@ impl BcMachine<'_, '_> {
     // Memo and profile regions
     // ------------------------------------------------------------------
 
+    /// Whether every folded slot currently holds the value class the
+    /// guard baked in. An integer key word is bit-identical to a
+    /// pointer's (`read_operand_into` encodes both raw), so a key match
+    /// alone cannot prove the clone's immediates are faithful.
+    fn folds_ok(&self, folds: &[(u32, bool)]) -> bool {
+        folds
+            .iter()
+            .all(|&(off, float)| match self.mem[self.frame + off as usize] {
+                Value::Int(_) => !float,
+                Value::Float(_) => float,
+                _ => false,
+            })
+    }
+
     /// Memo segment entry: mirrors `exec_memo` up to the hit/miss fork.
     /// Returns the next pc (`hit_target` on a hit, fall-through else).
+    ///
+    /// In plan-built code, the guard planned at this pc (if any) fires
+    /// only on a table miss: a matching key jumps to the specialized
+    /// clone, a mismatch deopts — falls through to the generic body,
+    /// exactly once per missed probe. Either way it charges nothing: the
+    /// guard is host-side control flow.
     fn memo_enter(&mut self, id: u32, hit_target: u32, pc: u32) -> Result<u32, Trap> {
         let m = self.bc.memos[id as usize];
         // Bypassed table: pay only the guard branch, run the body with an
@@ -905,6 +1069,28 @@ impl BcMachine<'_, '_> {
                 key_start: ks as u32,
                 entry_cycles: 0,
             });
+            // Guard fork: only at the original MemoEnter pc (a cloned
+            // nested MemoEnter sits elsewhere and takes the generic
+            // path). Recording on exit happens under the *live* key in
+            // the arena either way — a specialized run can never create
+            // a specialized-keyed table entry.
+            let bc = self.bc;
+            if let Some(Some(g)) = bc.guards.get(id as usize) {
+                if g.enter_pc == pc {
+                    let matched = self.key_arena[ks..] == g.key[..] && self.folds_ok(&g.folds);
+                    if let Some(s) = self.spec.as_mut() {
+                        s.guard_probes += 1;
+                        if matched {
+                            s.guard_hits += 1;
+                        } else {
+                            s.deopts += 1;
+                        }
+                    }
+                    if matched {
+                        return Ok(g.target);
+                    }
+                }
+            }
             Ok(pc + 1)
         }
     }

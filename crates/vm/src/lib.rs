@@ -32,7 +32,6 @@ pub mod deps_rt;
 pub mod energy;
 pub mod interp;
 mod interp_bc;
-mod interp_spec;
 pub mod lower;
 pub mod profile;
 pub mod specialize;
@@ -55,39 +54,37 @@ pub use value::{PrintVal, Trap, Value};
 /// instead compiles each program once with [`precompile`] (or
 /// [`precompile_spec`] for the specialized tier) and executes requests
 /// with [`run_precompiled`], keeping the per-request path free of
-/// compilation work.
+/// compilation work. Either way the result is one bytecode module, run
+/// by the one bytecode dispatch loop.
 #[derive(Debug)]
-pub struct Precompiled<'m>(PreInner<'m>);
-
-#[derive(Debug)]
-enum PreInner<'m> {
-    /// Generic bytecode: runs on the bytecode dispatch loop.
-    Bc(bytecode::BcModule<'m>),
-    /// Plan-specialized code: runs on the specialized dispatch loop.
-    Spec(specialize::SpecCode<'m>),
-}
+pub struct Precompiled<'m>(bytecode::BcModule<'m>);
 
 /// Compiles `module` to bytecode under `cost` (cycle charges are baked in
 /// as immediates, so later runs must use the same cost model).
 pub fn precompile<'m>(module: &'m Module, cost: &CostModel) -> Precompiled<'m> {
-    Precompiled(PreInner::Bc(bytecode::compile(module, cost)))
+    Precompiled(bytecode::compile(module, cost))
 }
 
 /// Compiles `module` to bytecode and applies the specialization `plan`
-/// (mined by the pipeline; see [`specialize::SpecPlan`]). The result runs
-/// on the specialized tier, with observables identical to [`precompile`]'s.
+/// (mined by the pipeline; see [`specialize::SpecPlan`]) as a
+/// bytecode→bytecode pass. Observables are identical to
+/// [`precompile`]'s; runs additionally report [`Outcome::spec`].
 pub fn precompile_spec<'m>(
     module: &'m Module,
     cost: &CostModel,
     plan: &specialize::SpecPlan,
 ) -> Precompiled<'m> {
-    let bc = bytecode::compile(module, cost);
-    Precompiled(PreInner::Spec(specialize::build(&bc, plan, cost)))
+    Precompiled(specialize::build(
+        &bytecode::compile(module, cost),
+        plan,
+        cost,
+    ))
 }
 
-/// Runs a precompiled module on the engine it was compiled for
-/// (`config.engine` is ignored). `config.cost` must be the model the
-/// bytecode was compiled under, or cycle accounting will mix two models.
+/// Runs a precompiled module (`config.engine` and `config.spec_plan` are
+/// ignored: the plan, if any, was applied at precompile time).
+/// `config.cost` must be the model the bytecode was compiled under, or
+/// cycle accounting will mix two models.
 ///
 /// # Errors
 ///
@@ -97,10 +94,7 @@ pub fn run_precompiled(
     pre: &Precompiled<'_>,
     config: RunConfig,
 ) -> Result<Outcome, Trap> {
-    match &pre.0 {
-        PreInner::Bc(bc) => interp_bc::run_bc(module, bc, config),
-        PreInner::Spec(spec) => interp_spec::run_spec(module, spec, config),
-    }
+    interp_bc::run_bc(module, &pre.0, config)
 }
 
 /// Compiles MiniC source and runs it in one step (convenience for tests

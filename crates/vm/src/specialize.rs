@@ -1,4 +1,4 @@
-//! Profile-guided trace specialization (the third execution tier).
+//! Profile-guided trace specialization: a bytecode→bytecode pass.
 //!
 //! The paper's §2.4 specializes code against the input values that
 //! dominate a segment's profile. This module carries that idea into the
@@ -12,24 +12,24 @@
 //! 2. **Plan application.** [`SpecPlan`] names the mined hot pairs plus
 //!    the dominant key per hot memo segment (mined from the value-set
 //!    profiles the pipeline already collects). The `build` pass — run
-//!    once per module before execution — substitutes [`Instr::Super2`]
-//!    fusions program-wide and clones each planned segment body with the
+//!    once per module before execution — substitutes `Super2` fusions
+//!    program-wide and clones each planned segment body with the
 //!    dominant inputs folded in as immediates, guarded by an exact key
 //!    comparison at `MemoEnter` that *deopts* to the generic body on
-//!    mismatch.
+//!    mismatch. Its output is an ordinary bytecode module that the one
+//!    bytecode dispatch loop runs.
 //!
-//! The contract (DESIGN.md §8j): the specialized engine's observables —
-//! modelled cycles, energy, table traffic, dependency fingerprints,
-//! profile data, and printed output — are bit-for-bit identical to the
-//! other two engines. Fusion is legal only between *linear*
-//! instructions (no observable point separates their charges); folding
-//! preserves each replaced read's charge as an immediate; the guard is
-//! host-side only and charges zero modelled cycles either way.
+//! The contract (DESIGN.md §8j): specialized observables — modelled
+//! cycles, energy, table traffic, dependency fingerprints, profile
+//! data, and printed output — are bit-for-bit identical to the other
+//! engines'. Fusion joins only straight-line instructions (no
+//! observable point separates their charges); folding preserves each
+//! replaced read's charge as an immediate; the guard is host-side only
+//! and charges zero modelled cycles either way.
 //!
 //! [`RunConfig::record_trace`]: crate::interp::RunConfig::record_trace
-//! [`Instr::Super2`]: crate::bytecode::Instr::Super2
 
-use crate::bytecode::{is_linear, op_kind, BcModule, FastArg, Instr, OP_KINDS};
+use crate::bytecode::{op_kind, BcModule, FastArg, Instr, OP_KINDS};
 use crate::cost::CostModel;
 use crate::interp::binary_value;
 use crate::lower::{Coerce, LMemo, OpLoc, WriteCost};
@@ -91,8 +91,8 @@ impl DispatchTrace {
     /// Whether the recording budget is spent. The pair mix of a
     /// steady-state dispatch loop saturates within the first few million
     /// dispatches, so the recorder stops paying its per-dispatch
-    /// increment after [`TRACE_DISPATCH_CAP`] and the profiling run
-    /// proceeds at the generic engine's speed.
+    /// increment after a fixed budget of 8M dispatches and the profiling
+    /// run proceeds at the generic engine's speed.
     pub fn saturated(&self) -> bool {
         self.total >= TRACE_DISPATCH_CAP
     }
@@ -144,8 +144,8 @@ pub struct DominantKey {
 
 /// A mined specialization plan: which instruction pairs to fuse
 /// program-wide and which segment bodies to clone against their
-/// dominant inputs. An empty plan is legal (the specialized engine then
-/// behaves exactly like the generic bytecode engine).
+/// dominant inputs. An empty plan is legal: it builds code identical to
+/// the generic bytecode.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SpecPlan {
     /// Opcode-kind pairs worth fusing, from [`DispatchTrace::top_pairs`].
@@ -154,7 +154,7 @@ pub struct SpecPlan {
     pub dominants: Vec<DominantKey>,
 }
 
-/// Counters the specialized engine reports in
+/// Counters a run of plan-built code reports in
 /// [`crate::Outcome::spec`]. Host-side observability only — none of
 /// these affect modelled cycles or table state.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -179,7 +179,8 @@ pub struct SpecStats {
 /// A guarded segment: at a table miss on `MemoEnter` at `enter_pc`, a
 /// built key equal to `key` (with every folded input type-checked
 /// against its baked value class) jumps to the clone at `target`;
-/// anything else falls through to the generic body.
+/// anything else falls through to the generic body. Evaluated by the
+/// bytecode dispatch loop's `memo_enter`.
 #[derive(Debug, Clone)]
 pub(crate) struct SpecGuard {
     /// The original `MemoEnter` pc this guard applies at (a cloned
@@ -197,26 +198,15 @@ pub(crate) struct SpecGuard {
     pub(crate) target: u32,
 }
 
-/// A module with a [`SpecPlan`] applied: transformed code (fusions
-/// substituted in place, specialized clones appended), the fused pair
-/// bodies, and the per-memo guards.
-#[derive(Debug, Clone)]
-pub(crate) struct SpecCode<'m> {
-    pub(crate) bc: BcModule<'m>,
-    pub(crate) pairs: Vec<PairCode>,
-    pub(crate) guards: Vec<Option<SpecGuard>>,
-    pub(crate) fused: u64,
-    pub(crate) cloned: u64,
-}
-
-/// One fused pair, pre-combined at build time. The hottest mined shapes
-/// get dedicated variants that elide the intermediate stack round-trip
-/// and the second dispatch; everything else executes both halves
-/// generically. Every variant performs the same operations in the same
-/// order as its unfused halves — cycle charges, traps, dependency notes,
-/// and counter updates are bit-identical (`tick` is a pure counter add
-/// with no checkpoint between the halves, and the operand stack between
-/// two linear instructions is unobservable).
+/// One fused pair, pre-combined at build time: a dedicated body for each
+/// hot mined shape that elides the intermediate stack round-trip and the
+/// second dispatch. Both halves of every shape are straight-line
+/// instructions — they advance the pc by one and touch no frame, region,
+/// or budget check — and each variant performs the same operations in
+/// the same order as its unfused halves, so cycle charges, traps,
+/// dependency notes, and counter updates are bit-identical (`tick` is a
+/// pure counter add with no checkpoint between the halves, and the
+/// operand stack between them is unobservable).
 #[derive(Debug, Clone)]
 pub(crate) enum PairCode {
     /// `PushI(v)` + `Binary(op, c)` — the constant is the rhs.
@@ -280,13 +270,13 @@ pub(crate) enum PairCode {
     },
     /// `LoopCount(loop_idx)` + `ReadLocal(off)`.
     CountRead { loop_idx: u32, off: u32 },
-    /// Any other linear pair: both halves executed generically.
-    Generic([Instr; 2]),
 }
 
-/// Pre-combines a fused pair into its [`PairCode`].
-fn combine(a: &Instr, b: &Instr) -> PairCode {
-    match (a, b) {
+/// Pre-combines a fused pair into its [`PairCode`], or `None` when the
+/// shape has no dedicated body (executing both halves through a generic
+/// fallback measured slower than leaving them to the dispatch loop).
+fn combine(a: &Instr, b: &Instr) -> Option<PairCode> {
+    let pair = match (a, b) {
         (Instr::PushI(v), Instr::Binary(op, c)) => PairCode::PushIBinary {
             v: *v,
             op: *op,
@@ -376,8 +366,9 @@ fn combine(a: &Instr, b: &Instr) -> PairCode {
             loop_idx: *loop_idx,
             off: *off,
         },
-        _ => PairCode::Generic([a.clone(), b.clone()]),
-    }
+        _ => return None,
+    };
+    Some(pair)
 }
 
 /// One foldable input: a single-word frame-slot operand whose slot is
@@ -393,10 +384,12 @@ struct Fold {
 /// code array.
 const MAX_CLONE_LEN: u32 = 4096;
 
-/// Applies `plan` to a compiled module. Pure function of its inputs —
-/// building twice yields identical code, so precompiled specialized
-/// modules are shareable across runs.
-pub(crate) fn build<'m>(bc: &BcModule<'m>, plan: &SpecPlan, cost: &CostModel) -> SpecCode<'m> {
+/// Applies `plan` to a compiled module, yielding bytecode with fusions
+/// substituted in place, specialized clones appended, and the pairs and
+/// guards they reference. Pure function of its inputs — building twice
+/// yields identical code, so precompiled specialized modules are
+/// shareable across runs.
+pub(crate) fn build<'m>(bc: &BcModule<'m>, plan: &SpecPlan, cost: &CostModel) -> BcModule<'m> {
     let mut nbc = bc.clone();
     let mut guards: Vec<Option<SpecGuard>> = vec![None; bc.memos.len()];
     let mut cloned = 0u64;
@@ -461,35 +454,31 @@ pub(crate) fn build<'m>(bc: &BcModule<'m>, plan: &SpecPlan, cost: &CostModel) ->
     if !hot.is_empty() {
         let mut i = 0usize;
         while i + 1 < nbc.code.len() {
-            let a = &nbc.code[i];
-            let b = &nbc.code[i + 1];
-            if is_linear(a) && is_linear(b) && hot.contains(&(op_kind(a), op_kind(b))) {
-                // Fuse only shapes with a pre-combined fast path: a
-                // `Generic` pair would execute through an extra match
-                // plus two calls — strictly slower than leaving the two
-                // instructions in the main dispatch loop.
-                match combine(a, b) {
-                    PairCode::Generic(_) => i += 1,
-                    pair => {
-                        nbc.code[i] = Instr::Super2(pairs.len() as u32);
-                        pairs.push(pair);
-                        fused += 1;
-                        i += 2;
-                    }
-                }
+            let (a, b) = (&nbc.code[i], &nbc.code[i + 1]);
+            let pair = if hot.contains(&(op_kind(a), op_kind(b))) {
+                combine(a, b)
+            } else {
+                None
+            };
+            if let Some(pair) = pair {
+                nbc.code[i] = Instr::Super2(pairs.len() as u32);
+                pairs.push(pair);
+                fused += 1;
+                i += 2;
             } else {
                 i += 1;
             }
         }
     }
 
-    SpecCode {
-        bc: nbc,
-        pairs,
-        guards,
-        fused,
-        cloned,
-    }
+    nbc.pairs = pairs;
+    nbc.guards = guards;
+    nbc.spec = Some(SpecStats {
+        fused_sites: fused,
+        cloned_segments: cloned,
+        ..SpecStats::default()
+    });
+    nbc
 }
 
 /// The inputs of `m` that may be folded to immediates inside the clone,
@@ -615,6 +604,35 @@ fn fold_instr(ins: &mut Instr, folds: &[Fold], cost: &CostModel) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bytecode::compile;
+    use crate::cost::OptLevel;
+
+    /// An empty plan is the identity pass: on every bundled workload's
+    /// transformed module it yields the generic bytecode, with nothing
+    /// fused, cloned, or guarded. That is what makes the specialized tier
+    /// without a plan the bytecode engine by construction.
+    #[test]
+    fn empty_plan_builds_the_generic_bytecode() {
+        for w in workloads::main_seven() {
+            let program = minic::parse(&w.source).expect("workload parses");
+            let config = compreuse::PipelineConfig {
+                profile_input: (w.default_input)(0.02),
+                ..compreuse::PipelineConfig::default()
+            };
+            let outcome = compreuse::run_pipeline(&program, &config).expect("pipeline runs");
+            let module = crate::lower::lower(&outcome.transformed);
+            for opt in [OptLevel::O0, OptLevel::O3] {
+                let cost = CostModel::for_level(opt);
+                let bc = compile(&module, &cost);
+                assert!(!bc.memos.is_empty(), "{}: nothing memoized", w.name);
+                let built = build(&bc, &SpecPlan::default(), &cost);
+                assert!(built.code == bc.code, "{}: code changed", w.name);
+                assert!(built.pairs.is_empty(), "{}: pairs fused", w.name);
+                assert!(built.guards.iter().all(Option::is_none), "{}", w.name);
+                assert_eq!(built.spec, Some(SpecStats::default()), "{}", w.name);
+            }
+        }
+    }
 
     #[test]
     fn empty_trace_mines_nothing() {
